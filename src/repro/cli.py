@@ -662,9 +662,17 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stream_tenants(args: argparse.Namespace) -> int:
-    """The multi-tenant branch of ``repro stream`` (``--tenant`` given)."""
+def _cmd_stream(args: argparse.Namespace) -> int:
+    """``repro stream``: one supervised service, one tenant or several.
+
+    ``--follow DIR`` serves a lone tenant at the unprefixed routes with
+    ``--checkpoint``/``--fleet-out``/``--alerts-out`` used as given;
+    ``--tenant NAME=DIR`` mounts each tenant at ``/v1/NAME/*`` and
+    treats those three as directories holding one entry per tenant.
+    """
+    from .core.periods import StudyWindow
     from .stream import (
+        SINGLE_TENANT,
         ChaosController,
         GuardConfig,
         MultiTenantService,
@@ -673,27 +681,44 @@ def _cmd_stream_tenants(args: argparse.Namespace) -> int:
         parse_tenant_arg,
     )
 
-    specs = []
-    for raw in args.tenant:
-        name, follow_dir = parse_tenant_arg(raw)
-        fleet_out = (
-            Path(args.fleet_out) / f"{name}.json" if args.fleet_out else None
+    if args.resume and not args.checkpoint:
+        print("error: --resume requires --checkpoint DIR", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    if args.tenant and args.follow:
+        print(
+            "error: --tenant and --follow are mutually exclusive",
+            file=sys.stderr,
         )
-        alerts_out = (
-            Path(args.alerts_out) / f"{name}.jsonl"
-            if args.alerts_out
-            else None
+        return EXIT_CONFIG_ERROR
+    if not args.tenant and not args.follow:
+        print(
+            "error: one of --follow DIR or --tenant NAME=DIR is required",
+            file=sys.stderr,
         )
-        specs.append(
-            TenantSpec(
-                name,
-                follow_dir,
-                window_seconds=args.coalesce_window,
-                node_count=args.nodes,
-                fleet_out=fleet_out,
-                alerts_out=alerts_out,
-            )
+        return EXIT_CONFIG_ERROR
+    single = bool(args.follow)
+
+    def per_tenant(value, name, suffix):
+        if not value:
+            return None
+        return Path(value) if single else Path(value) / f"{name}{suffix}"
+
+    tenants = (
+        [(SINGLE_TENANT, Path(args.follow))]
+        if single
+        else [parse_tenant_arg(raw) for raw in args.tenant]
+    )
+    specs = [
+        TenantSpec(
+            name,
+            follow_dir,
+            window_seconds=args.coalesce_window,
+            node_count=args.nodes,
+            fleet_out=per_tenant(args.fleet_out, name, ".json"),
+            alerts_out=per_tenant(args.alerts_out, name, ".jsonl"),
         )
+        for name, follow_dir in tenants
+    ]
     chaos = None
     if args.chaos:
         plan = build_chaos_plan(
@@ -721,85 +746,34 @@ def _cmd_stream_tenants(args: argparse.Namespace) -> int:
         guard=guard,
         idle_exit=args.idle_exit,
         chaos=chaos,
+        window=StudyWindow.delta_default() if args.delta_window else None,
         telemetry=telemetry,
         max_inflight=args.max_inflight,
         request_timeout=args.request_timeout,
+        single=single,
     )
     if service.server is not None:
-        names = ",".join(spec.name for spec in specs)
+        routes = (
+            "/v1/fleet /v1/alerts /v1/slo"
+            if single
+            else f"tenants: {','.join(spec.name for spec in specs)}; "
+            "/v1/slo /v1/<tenant>/fleet /v1/<tenant>/alerts /v1/<tenant>/slo"
+        )
         print(
             f"fleet-health service on http://{service.server.address} "
-            f"(tenants: {names}; /healthz /metrics /v1/slo "
-            "/v1/<tenant>/fleet /v1/<tenant>/alerts /v1/<tenant>/slo)",
+            f"(/healthz /metrics {routes})",
             flush=True,
         )
     code = service.run()
     for runtime in service.runtimes:
-        core = runtime.core
+        restarts = service.supervisor.restart_counts[runtime.name]
         print(
-            f"tenant {runtime.name}: {core.ingest.lines_read:,} lines, "
-            f"drained={core.ingest.drained}, "
-            f"restarts={sum(service.supervisor.restart_counts[runtime.name].values())}, "
+            f"tenant {runtime.name}: {runtime.progress:,} lines, "
+            f"drained={runtime.core.ingest.drained}, "
+            f"restarts={sum(restarts.values())}, "
             f"quarantined={len(runtime.quarantined_checkpoints)}"
         )
-    _finish_telemetry(telemetry, args)
-    return code
-
-
-def _cmd_stream(args: argparse.Namespace) -> int:
-    from .core.periods import StudyWindow
-    from .stream import StreamService
-
-    if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint DIR", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    if args.tenant and args.follow:
-        print(
-            "error: --tenant and --follow are mutually exclusive",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG_ERROR
-    if args.chaos and not args.tenant:
-        print(
-            "error: --chaos requires at least one --tenant NAME=DIR",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG_ERROR
-    if args.tenant:
-        return _cmd_stream_tenants(args)
-    if not args.follow:
-        print(
-            "error: one of --follow DIR or --tenant NAME=DIR is required",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG_ERROR
-    telemetry = _telemetry_from_args(args, wall_clock=True)
-    service = StreamService(
-        Path(args.follow),
-        port=None if args.port < 0 else args.port,
-        checkpoint_dir=Path(args.checkpoint) if args.checkpoint else None,
-        resume=args.resume,
-        once=args.once,
-        poll_interval=args.poll_interval,
-        checkpoint_interval=args.checkpoint_interval,
-        window_seconds=args.coalesce_window,
-        window=StudyWindow.delta_default() if args.delta_window else None,
-        node_count=args.nodes,
-        fleet_out=Path(args.fleet_out) if args.fleet_out else None,
-        alerts_out=Path(args.alerts_out) if args.alerts_out else None,
-        idle_exit=args.idle_exit,
-        telemetry=telemetry,
-        max_inflight=args.max_inflight,
-        request_timeout=args.request_timeout,
-    )
-    if service.server is not None:
-        print(
-            f"fleet-health service on http://{service.server.address} "
-            "(/healthz /metrics /v1/fleet /v1/alerts /v1/slo)",
-            flush=True,
-        )
-    code = service.run()
-    print(service.health_report().render())
+        print(runtime.health_report().render())
     _finish_telemetry(telemetry, args)
     return code
 
@@ -1113,14 +1087,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--follow", metavar="DIR", default=None,
-        help="artifact dir (containing syslog/) or the syslog dir itself "
-             "(single-tenant mode)",
+        help="artifact dir (containing syslog/) or the syslog dir itself, "
+             "served at /v1/fleet /v1/alerts /v1/slo",
     )
     stream.add_argument(
         "--tenant", metavar="NAME=DIR", action="append", default=[],
         help="serve this tenant's directory at /v1/NAME/* (repeatable; "
-             "enables the supervised multi-tenant service; with "
-             "--checkpoint, each tenant checkpoints to CHECKPOINT/NAME)",
+             "with --checkpoint, each tenant checkpoints to "
+             "CHECKPOINT/NAME)",
     )
     stream.add_argument(
         "--port", type=int, default=8787,
@@ -1177,12 +1151,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-connection read/write deadline — drops slow-loris "
              "clients (default: none)",
     )
-    guard_group = stream.add_argument_group(
-        "supervision (multi-tenant mode)"
-    )
+    guard_group = stream.add_argument_group("supervision")
     guard_group.add_argument(
         "--stall-timeout", type=float, default=15.0, metavar="SECONDS",
-        help="heartbeat silence before an ingest worker is replaced "
+        help="seconds with no completed poll and no line read before "
+             "an ingest worker is replaced "
              "(default %(default)s)",
     )
     guard_group.add_argument(
@@ -1195,7 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="consecutive failures that open the circuit breaker "
              "(default %(default)s)",
     )
-    chaos_group = stream.add_argument_group("chaos (multi-tenant mode)")
+    chaos_group = stream.add_argument_group("chaos")
     chaos_group.add_argument(
         "--chaos", action="store_true",
         help="inject a seeded fault plan (ingest kills, torn "

@@ -46,7 +46,6 @@ __all__ = [
     "BURN_WINDOWS",
     "BURN_POLICIES",
     "default_slos",
-    "tenant_slos",
 ]
 
 #: Named burn-rate windows (label, seconds).
@@ -153,19 +152,24 @@ def default_slos(
     routes: Sequence[str] = ("/v1/fleet", "/v1/alerts"),
     latency_threshold_seconds: float = 0.25,
     freshness_threshold_seconds: float = 2.0,
+    prefix: str = "",
 ) -> List[ServiceObjective]:
-    """The stock objective set for the fleet-health service.
+    """The stock objective set for one fleet served by the service.
 
     Availability at three nines and 95%-under-250 ms latency per data
     route, plus an ingest-freshness objective whose threshold matches
-    the E14 append-to-visible latency bound.
+    the E14 append-to-visible latency bound.  Every name starts with
+    ``prefix`` — empty for a lone fleet, ``<tenant>:`` so several
+    tenants' objectives coexist in one engine; a tenant's poll loop
+    targets ``<prefix>ingest-freshness`` by name via
+    :meth:`SLOEngine.record_freshness`.
     """
     objectives: List[ServiceObjective] = []
     for route in routes:
         stem = route.rsplit("/", 1)[-1] or route
         objectives.append(
             ServiceObjective(
-                name=f"{stem}-availability",
+                name=f"{prefix}{stem}-availability",
                 description=f"99.9% of {route} requests succeed (non-5xx)",
                 kind="availability",
                 target=0.999,
@@ -174,7 +178,7 @@ def default_slos(
         )
         objectives.append(
             ServiceObjective(
-                name=f"{stem}-latency",
+                name=f"{prefix}{stem}-latency",
                 description=(
                     f"95% of {route} requests complete within "
                     f"{latency_threshold_seconds * 1000:g} ms"
@@ -187,66 +191,10 @@ def default_slos(
         )
     objectives.append(
         ServiceObjective(
-            name="ingest-freshness",
+            name=f"{prefix}ingest-freshness",
             description=(
                 "99% of ingest polls keep append-to-visible lag under "
                 f"{freshness_threshold_seconds:g} s"
-            ),
-            kind="freshness",
-            target=0.99,
-            threshold_seconds=freshness_threshold_seconds,
-        )
-    )
-    return objectives
-
-
-def tenant_slos(
-    tenant: str,
-    routes: Sequence[str],
-    latency_threshold_seconds: float = 0.25,
-    freshness_threshold_seconds: float = 2.0,
-) -> List[ServiceObjective]:
-    """The stock objective set for one tenant of the multi-tenant
-    service, with names prefixed ``<tenant>:`` so objectives from
-    different tenants coexist in one engine.
-
-    The freshness objective is named ``<tenant>:ingest-freshness`` —
-    per-tenant poll loops target it by name via
-    :meth:`SLOEngine.record_freshness`.
-    """
-    objectives: List[ServiceObjective] = []
-    for route in routes:
-        stem = route.rsplit("/", 1)[-1] or route
-        objectives.append(
-            ServiceObjective(
-                name=f"{tenant}:{stem}-availability",
-                description=(
-                    f"99.9% of {route} requests succeed (non-5xx)"
-                ),
-                kind="availability",
-                target=0.999,
-                route=route,
-            )
-        )
-        objectives.append(
-            ServiceObjective(
-                name=f"{tenant}:{stem}-latency",
-                description=(
-                    f"95% of {route} requests complete within "
-                    f"{latency_threshold_seconds * 1000:g} ms"
-                ),
-                kind="latency",
-                target=0.95,
-                route=route,
-                threshold_seconds=latency_threshold_seconds,
-            )
-        )
-    objectives.append(
-        ServiceObjective(
-            name=f"{tenant}:ingest-freshness",
-            description=(
-                f"99% of {tenant} ingest polls keep append-to-visible "
-                f"lag under {freshness_threshold_seconds:g} s"
             ),
             kind="freshness",
             target=0.99,
@@ -417,8 +365,7 @@ class SLOEngine:
         """Classify one ingest poll against the freshness objectives.
 
         ``name`` scopes the event to one objective (a tenant's own
-        freshness stream); ``None`` feeds every freshness objective —
-        the single-tenant behavior.
+        freshness stream); ``None`` feeds every freshness objective.
         """
         t = self._now(now)
         with self._lock:

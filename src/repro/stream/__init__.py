@@ -8,13 +8,13 @@ files), :class:`~repro.stream.ingest.StreamIngest` runs the
 batch-identical per-line Stage-II path into a watermark-evicting
 :class:`~repro.pipeline.coalesce.StreamingCoalescer`, online
 estimators and alert rules consume errors as they complete, and
-:class:`~repro.stream.service.StreamService` serves the whole thing
-over stdlib HTTP with durable checkpoint/resume.
-
-The multi-tenant layer (:mod:`~repro.stream.tenancy`) hosts several
-isolated fleets behind one front end, supervised by the watchdog /
-circuit-breaker machinery in :mod:`~repro.stream.guard` and stress-
-tested by the seeded fault injector in :mod:`~repro.stream.chaos`.
+:class:`~repro.stream.tenancy.MultiTenantService` serves the whole
+thing over stdlib HTTP with durable checkpoint/resume — one fleet
+(:class:`~repro.stream.service.StreamService`, ``--follow``) or
+several isolated ones behind one front end (``--tenant``), supervised
+either way by the watchdog / circuit-breaker machinery in
+:mod:`~repro.stream.guard` and stress-tested by the seeded fault
+injector in :mod:`~repro.stream.chaos`.
 
 The load-bearing property, enforced by the replay-identity tests: a
 drained streaming pass over a finished directory produces the same
@@ -53,12 +53,14 @@ from .ingest import (
     quarantine_checkpoint,
 )
 from .serve import FleetHealthServer, RequestObservability, json_route
-from .service import StreamService, resolve_syslog_dir
+from .service import StreamService
 from .tenancy import (
+    SINGLE_TENANT,
     MultiTenantService,
     TenantRuntime,
     TenantSpec,
     parse_tenant_arg,
+    resolve_syslog_dir,
 )
 
 __all__ = [
@@ -92,6 +94,7 @@ __all__ = [
     "RequestObservability",
     "json_route",
     "StreamService",
+    "SINGLE_TENANT",
     "MultiTenantService",
     "TenantRuntime",
     "TenantSpec",

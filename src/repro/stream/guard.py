@@ -10,7 +10,8 @@ reacts to two failure shapes:
 * **crash** — the worker thread died on an exception (an injected
   ingest kill, a transient follower I/O error, a bug);
 * **stall** — the thread is alive but its heartbeat has not moved for
-  ``stall_timeout`` seconds (a wedged poll).
+  ``stall_timeout`` seconds (a wedged poll).  Ingest progress inside a
+  poll counts as a heartbeat, so a long catch-up poll is not a stall.
 
 Either way the supervisor *abandons* the old ingest generation —
 Python cannot kill a thread, so a stalled worker is left to mutate an
@@ -207,10 +208,13 @@ class TenantWorker:
 
     The worker polls ``runtime.poll_once()`` on ``poll_interval``,
     checkpoints on ``checkpoint_interval``, and bumps its heartbeat
-    after every completed cycle.  Any exception out of the poll (an
-    injected kill, a :class:`~repro.stream.follow.FollowerReadError`,
-    a genuine bug) records the failure and ends the thread — detection
-    and replacement are the supervisor's job, not the worker's.
+    after every completed cycle — and, through :meth:`note_progress`,
+    whenever the runtime's ``progress`` counter has moved, so one long
+    catch-up poll that keeps ingesting is not a stall.  Any exception
+    out of the poll (an injected kill, a
+    :class:`~repro.stream.follow.FollowerReadError`, a genuine bug)
+    records the failure and ends the thread — detection and
+    replacement are the supervisor's job, not the worker's.
     """
 
     def __init__(
@@ -229,6 +233,7 @@ class TenantWorker:
         self.started_at = self.heartbeat
         self.failure: Optional[BaseException] = None
         self.polls_completed = 0
+        self._progress = self._read_progress()
         self.thread = threading.Thread(
             target=self._loop,
             name=f"tenant-ingest-{runtime.name}",
@@ -246,6 +251,18 @@ class TenantWorker:
     @property
     def alive(self) -> bool:
         return self.thread.is_alive()
+
+    def _read_progress(self) -> Optional[int]:
+        # Runtimes without a progress counter are judged on completed
+        # polls alone.
+        return getattr(self.runtime, "progress", None)
+
+    def note_progress(self, now: float) -> None:
+        """Count a move of the runtime's progress counter as a heartbeat."""
+        progress = self._read_progress()
+        if progress != self._progress:
+            self._progress = progress
+            self.heartbeat = now
 
     def _loop(self) -> None:
         last_checkpoint = self._clock()
@@ -282,7 +299,8 @@ class IngestSupervisor:
     Args:
         runtimes: the tenant runtimes to supervise (each must provide
             ``name``, ``poll_once``, ``checkpoint``, ``rebuild``,
-            ``mark_down``/``mark_up``, ``record_downtime_freshness``).
+            ``mark_down``/``mark_up``, ``record_downtime_freshness``,
+            and may provide a ``progress`` counter).
         config: the shared :class:`GuardConfig`.
         poll_interval / checkpoint_interval: worker cadence.
         registry: metric sink for the guard families.
@@ -411,6 +429,7 @@ class IngestSupervisor:
                 continue
             healing = name in self._pending
             if not healing:
+                worker.note_progress(now)
                 if not worker.alive:
                     self._restarts.labels(tenant=name, reason="crash").inc()
                     self._note_failure(name, runtime, "crash")

@@ -1,538 +1,93 @@
-"""The long-running fleet-health service: follow, ingest, serve.
+"""The single-stream fleet-health service: one fleet, unprefixed routes.
 
-:class:`StreamService` wires the streaming pieces together:
-
-* a :class:`~repro.stream.ingest.StreamIngest` tails the growing
-  syslog directory and runs the incremental Stage-II path;
-* :class:`~repro.stream.estimators.FleetEstimators` and an
-  :class:`~repro.stream.alerts.AlertEngine` consume every completed
-  coalesced error between polls;
-* a :class:`~repro.stream.serve.FleetHealthServer` exposes
-  ``/healthz``, ``/metrics``, ``/v1/fleet``, ``/v1/alerts``, and
-  ``/v1/slo``, with every request id-stamped, counted, and timed
-  through :class:`~repro.stream.serve.RequestObservability`;
-* an :class:`~repro.obs.slo.SLOEngine` classifies every request and
-  every ingest poll against the service's declared objectives
-  (availability, latency, append-to-visible freshness) and runs
-  multi-window burn-rate alerting over them;
-* the shared :class:`~repro.pipeline.metrics.PipelineMetricSet` is
-  republished after every poll, so the streamer exports the exact
-  metric families the batch pipeline does (delta publication makes
-  the repeated publish safe);
-* checkpoints are written atomically between polls so a killed
-  service resumes from its offsets without dropping or
-  double-counting a line.
-
-Shutdown contract: SIGTERM/SIGINT set a stop event; the loop finishes
-the in-flight poll, persists a final checkpoint, flushes outputs, and
-:meth:`StreamService.run` returns ``0``.
+:class:`StreamService` is :class:`~repro.stream.tenancy
+.MultiTenantService` with one tenant and ``single=True`` — the service
+``repro stream --follow DIR`` runs — plus one-tenant conveniences that
+delegate to the lone runtime.
 """
 
 from __future__ import annotations
 
-import signal
-import threading
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
-from ..cluster.inventory import Inventory
-from ..core.atomicio import atomic_write_json
-from ..core.exceptions import ConfigurationError
-from ..core.periods import StudyWindow
-from ..obs import MetricsRegistry, Telemetry
-from ..obs.metrics import LATENCY_BUCKETS
-from ..obs.slo import SLOEngine, ServiceObjective, default_slos
 from ..pipeline.coalesce import DEFAULT_WINDOW_SECONDS, WindowMode
 from ..pipeline.health import PipelineHealthReport
-from ..pipeline.metrics import PipelineMetricSet
-from .alerts import AlertEngine, AlertRule, append_alert_log
-from .estimators import (
-    DEFAULT_NODE_COUNT,
-    FleetEstimators,
-    fleet_report,
-    infer_stream_window,
-)
+from .estimators import DEFAULT_NODE_COUNT, FleetEstimators
 from .ingest import StreamIngest
-from .serve import FleetHealthServer, RequestObservability, json_route
+from .tenancy import SINGLE_TENANT, MultiTenantService, TenantSpec
 
-_NEG_INF = float("-inf")
-
-
-def resolve_syslog_dir(follow_dir: Path) -> Path:
-    """Accept either an artifact directory or its ``syslog/`` child."""
-    follow_dir = Path(follow_dir)
-    if (follow_dir / "syslog").is_dir():
-        return follow_dir / "syslog"
-    if follow_dir.is_dir():
-        return follow_dir
-    raise ConfigurationError(f"{follow_dir}: not a directory")
+__all__ = ["StreamService"]
 
 
-def _find_inventory(syslog_dir: Path) -> Optional[Inventory]:
-    """Load ``inventory.json`` next to or above the syslog directory."""
-    for candidate in (
-        syslog_dir / "inventory.json",
-        syslog_dir.parent / "inventory.json",
-    ):
-        if candidate.exists():
-            return Inventory.load(candidate)
-    return None
-
-
-class StreamService:
+class StreamService(MultiTenantService):
     """The fleet-health daemon over one growing syslog directory.
 
     Args:
         follow_dir: artifact directory (containing ``syslog/``) or the
             syslog directory itself; ``inventory.json`` is picked up
             from the artifact level when present.
-        port: HTTP bind port (``0`` = ephemeral; ``None`` = no server).
         checkpoint_dir: directory for the durable resume state
             (``None`` disables checkpointing).
-        resume: restore offsets/state from ``checkpoint_dir`` when a
-            checkpoint exists.
-        once: drain mode — ingest everything currently on disk, drain
-            the coalescer, flush outputs, and return instead of
-            following forever.
-        poll_interval: seconds between follow polls.
-        checkpoint_interval: minimum seconds between checkpoints.
         window_seconds: coalescing Δt.
         mode: coalescing window semantics.
-        window: fixed study window for ``/v1/fleet``; by default it is
-            re-inferred from the watermark each snapshot
-            (:func:`~repro.stream.estimators.infer_stream_window`).
         node_count: fleet size for per-node MTBE scaling.
         fleet_out: path to write the final fleet snapshot JSON to on
             shutdown/drain.
         alerts_out: JSON-lines file receiving fired alerts.
-        idle_exit: in follow mode, drain and exit after this many
-            consecutive seconds without new lines (``None`` = never).
-        rules: alert rules (default :func:`~repro.stream.alerts
-            .default_rules`).
-        telemetry: optional shared telemetry bundle; when absent or
-            disabled the service still runs a private live metrics
-            registry so ``/metrics`` always works.
-        slos: service-level objectives for the SLO engine (default
-            :func:`~repro.obs.slo.default_slos`).
-        request_obs: master switch for the per-request telemetry; when
-            False the HTTP layer runs on the shared NOOP instruments
-            (the overhead path benchmark E16 measures).
-        max_inflight: shed requests beyond this concurrency with 429 +
-            ``Retry-After`` (``None`` = unbounded).
-        request_timeout: per-connection socket deadline in seconds —
-            the slow-loris defense (``None`` = no deadline).
-        drain_deadline: seconds :meth:`run` waits for in-flight
-            responses to finish writing at shutdown.
+        **options: :class:`~repro.stream.tenancy.MultiTenantService`
+            keywords (``port``, ``resume``, ``once``, ``poll_interval``,
+            ``idle_exit``, ``window``, ``request_obs``, …).
     """
 
     def __init__(
         self,
         follow_dir: Path,
-        port: Optional[int] = 0,
+        *,
         checkpoint_dir: Optional[Path] = None,
-        resume: bool = False,
-        once: bool = False,
-        poll_interval: float = 1.0,
-        checkpoint_interval: float = 10.0,
         window_seconds: float = DEFAULT_WINDOW_SECONDS,
         mode: WindowMode = WindowMode.TUMBLING,
-        window: Optional[StudyWindow] = None,
         node_count: int = DEFAULT_NODE_COUNT,
         fleet_out: Optional[Path] = None,
         alerts_out: Optional[Path] = None,
-        idle_exit: Optional[float] = None,
-        rules: Optional[Sequence[AlertRule]] = None,
-        telemetry: Optional[Telemetry] = None,
-        slos: Optional[Sequence[ServiceObjective]] = None,
-        request_obs: bool = True,
-        max_inflight: Optional[int] = None,
-        request_timeout: Optional[float] = None,
-        drain_deadline: float = 5.0,
+        **options,
     ) -> None:
-        if poll_interval <= 0:
-            raise ConfigurationError(
-                f"poll interval must be positive, got {poll_interval}"
-            )
-        self._syslog_dir = resolve_syslog_dir(follow_dir)
-        self._checkpoint_dir = (
-            Path(checkpoint_dir) if checkpoint_dir is not None else None
+        spec = TenantSpec(
+            SINGLE_TENANT,
+            Path(follow_dir),
+            window_seconds=window_seconds,
+            mode=mode,
+            node_count=node_count,
+            fleet_out=Path(fleet_out) if fleet_out is not None else None,
+            alerts_out=Path(alerts_out) if alerts_out is not None else None,
         )
-        self._once = once
-        self._poll_interval = poll_interval
-        self._checkpoint_interval = checkpoint_interval
-        self._window = window
-        self._node_count = node_count
-        self._fleet_out = Path(fleet_out) if fleet_out is not None else None
-        self._alerts_out = Path(alerts_out) if alerts_out is not None else None
-        self._idle_exit = idle_exit
-        self.telemetry = telemetry
+        super().__init__(
+            [spec], checkpoint_root=checkpoint_dir, single=True, **options
+        )
+        self._runtime = self.runtimes[0]
 
-        inventory = _find_inventory(self._syslog_dir)
-        self.ingest: Optional[StreamIngest] = None
-        self.quarantined_checkpoint: Optional[Path] = None
-        if resume and self._checkpoint_dir is not None:
-            # A damaged checkpoint is quarantined aside (logged and
-            # counted below) and ingest restarts from scratch; the
-            # wrong-directory/version refusals still raise.
-            self.ingest, self.quarantined_checkpoint = (
-                StreamIngest.resume_or_quarantine(
-                    self._syslog_dir, self._checkpoint_dir,
-                    inventory=inventory,
-                )
-            )
-        if self.ingest is None:
-            self.ingest = StreamIngest(
-                self._syslog_dir,
-                window_seconds=window_seconds,
-                mode=mode,
-                inventory=inventory,
-            )
+    @property
+    def ingest(self) -> StreamIngest:
+        """The current core's ingest state."""
+        return self._runtime.core.ingest
 
-        registry = telemetry.metrics if telemetry is not None else None
-        if registry is None or not registry.enabled:
-            registry = MetricsRegistry(enabled=True)
-        self.metrics = registry
-        self._metric_set = PipelineMetricSet(registry)
-        self._polls = registry.counter(
-            "stream_polls_total", "follow-mode ingest polls completed"
-        )
-        self._watermark_gauge = registry.gauge(
-            "stream_watermark_seconds", "largest log timestamp ingested"
-        )
-        self._open_groups_gauge = registry.gauge(
-            "stream_open_coalesce_groups", "coalescing groups awaiting closure"
-        )
-        self._open_outages_gauge = registry.gauge(
-            "stream_open_outages", "nodes currently out of service"
-        )
-        self._alerts_fired = registry.counter(
-            "stream_alerts_fired_total",
-            "alerts fired by the rule engine",
-            labels=("severity",),
-        )
-        self._poll_duration = registry.histogram(
-            "stream_poll_duration_seconds",
-            "wall time spent per ingest poll",
-            domain="host",
-            buckets=LATENCY_BUCKETS,
-        )
-        self._visibility_lag_gauge = registry.gauge(
-            "stream_visibility_lag_seconds",
-            "append-to-visible upper bound: last poll duration + interval",
-            domain="host",
-        )
-        self._checkpoint_quarantines = registry.counter(
-            "stream_checkpoint_quarantined_total",
-            "damaged checkpoints moved aside at startup",
-        )
-        if self.quarantined_checkpoint is not None:
-            self._checkpoint_quarantines.inc()
-            logger = telemetry.logger if telemetry is not None else None
-            if logger is not None and logger.enabled:
-                logger.event(
-                    "checkpoint_quarantined",
-                    level="warning",
-                    quarantined=str(self.quarantined_checkpoint),
-                    action="restarting ingest from scratch",
-                )
-
-        # Self-observability: SLO engine on a monotonic wall clock
-        # (same latch/re-arm semantics as the fleet alert engine, but
-        # over the service's own traffic), and the per-request sink the
-        # HTTP layer feeds.  request_obs=False degrades both to NOOP.
-        self._request_obs_enabled = request_obs
-        obs_registry = registry if request_obs else None
-        self.slo = SLOEngine(
-            objectives=slos,
-            registry=obs_registry,
-            clock=time.monotonic,
-        )
-        self.request_obs = RequestObservability(
-            registry=obs_registry,
-            tracer=telemetry.tracer if telemetry is not None else None,
-            logger=telemetry.logger if telemetry is not None else None,
-            slo=self.slo if request_obs else None,
-        )
-        self._seen_first_poll = False
-
-        self.estimators = FleetEstimators(node_count=node_count)
-        self.alerts = AlertEngine(rules)
-        self._replay_into_estimators()
-
-        self._lock = threading.Lock()
-        self._fleet_cache: Optional[tuple] = None
-        self._stop = threading.Event()
-        self._drain_deadline = drain_deadline
-        self.server: Optional[FleetHealthServer] = None
-        if port is not None:
-            self.server = FleetHealthServer(
-                {
-                    "/healthz": json_route(self.health_snapshot),
-                    "/metrics": self._metrics_route,
-                    "/v1/fleet": json_route(self.fleet_snapshot),
-                    "/v1/alerts": json_route(self.alerts_snapshot),
-                    "/v1/slo": json_route(self.slo_snapshot),
-                },
-                port=port,
-                observability=self.request_obs,
-                max_inflight=max_inflight,
-                request_timeout=request_timeout,
-            )
-
-    # ------------------------------------------------------------------
-    # State plumbing
-    # ------------------------------------------------------------------
-
-    def _replay_into_estimators(self) -> None:
-        """Rebuild online accumulators from resumed coalescer state.
-
-        Estimator/alert state is intentionally *not* checkpointed —
-        it is derivable, so replaying the already-completed errors
-        keeps the checkpoint schema small and the invariant single:
-        the ingest state is the only durable truth.  Replayed alerts
-        re-enter history but are not re-appended to the alert log.
-        """
-        assert self.ingest is not None
-        errors = self.ingest.coalescer.errors()
-        for error in errors:
-            self.estimators.observe_error(error)
-            self.alerts.observe_error(error)
-        if self.ingest.watermark != _NEG_INF:
-            self.estimators.advance(self.ingest.watermark)
-            self.alerts.evaluate(self.ingest.watermark)
-
-    def _observe(self, completed) -> List:
-        """Feed newly completed errors through estimators and rules."""
-        for error in completed:
-            self.estimators.observe_error(error)
-            self.alerts.observe_error(error)
-        watermark = self.ingest.watermark
-        fired: List = []
-        if watermark != _NEG_INF:
-            self.estimators.advance(watermark)
-            fired = self.alerts.evaluate(watermark)
-        for alert in fired:
-            self._alerts_fired.labels(severity=alert.severity).inc()
-        return fired
-
-    def _publish_metrics(self) -> None:
-        """Republish the shared pipeline metric set plus stream gauges."""
-        self._metric_set.publish_totals(self.ingest.totals())
-        self._polls.inc()
-        if self.ingest.watermark != _NEG_INF:
-            self._watermark_gauge.set(self.ingest.watermark)
-        self._open_groups_gauge.set(self.ingest.coalescer.open_groups)
-        self._open_outages_gauge.set(self.ingest.open_outages)
+    @property
+    def estimators(self) -> FleetEstimators:
+        """The current core's online estimators."""
+        return self._runtime.core.estimators
 
     def poll_once(self, final: bool = False) -> int:
-        """One locked poll cycle; returns the lines ingested.
-
-        Besides ingesting, the poll is the service's freshness
-        heartbeat: its duration feeds the poll-latency histogram, and
-        ``duration + poll interval`` — the worst-case append-to-visible
-        lag for a line landing just after the poll started — feeds the
-        freshness SLO.  The very first poll is exempt: it replays the
-        backlog already on disk, which is catch-up, not staleness.
-        """
-        start = time.perf_counter()
-        with self._lock:
-            outcome = (
-                self.ingest.drain() if final else self.ingest.poll()
-            )
-            fired = self._observe(outcome.completed)
-            self._publish_metrics()
-        duration = time.perf_counter() - start
-        self._poll_duration.observe(duration)
-        if self._seen_first_poll and self._request_obs_enabled:
-            lag = duration + self._poll_interval
-            self._visibility_lag_gauge.set(lag)
-            self.slo.record_freshness(lag)
-        self._seen_first_poll = True
-        if self._request_obs_enabled:
-            self.slo.evaluate()
-        if self._alerts_out is not None:
-            append_alert_log(self._alerts_out, fired)
-        return outcome.lines
+        """One locked poll cycle; returns the lines ingested."""
+        return self._runtime.poll_once(final=final)
 
     def checkpoint(self) -> Optional[Path]:
         """Persist resume state (between polls only)."""
-        if self._checkpoint_dir is None:
-            return None
-        with self._lock:
-            self._checkpoint_dir.mkdir(parents=True, exist_ok=True)
-            return self.ingest.checkpoint(self._checkpoint_dir)
-
-    # ------------------------------------------------------------------
-    # Snapshots (HTTP handlers; all take the state lock)
-    # ------------------------------------------------------------------
-
-    def _metrics_route(self):
-        """``/metrics``: the Prometheus text exposition."""
-        with self._lock:
-            body = self.metrics.render_prometheus(include_host=True)
-        return ("text/plain; version=0.0.4", body)
-
-    def health_snapshot(self) -> Dict[str, object]:
-        """``/healthz``: liveness plus ingest progress."""
-        with self._lock:
-            watermark = self.ingest.watermark
-            return {
-                "status": "ok",
-                "drained": self.ingest.drained,
-                "watermark": None if watermark == _NEG_INF else watermark,
-                "lines_read": self.ingest.lines_read,
-                "raw_hits": self.ingest.raw_hits,
-                "errors_total": self.estimators.total_errors,
-                "open_groups": self.ingest.coalescer.open_groups,
-                "open_outages": self.ingest.open_outages,
-                "days_followed": len(self.ingest.follower.day_stems()),
-                "alerts_active": self.alerts.active_count(),
-                "slo_alerting": self.slo.active_count(),
-                "request_latency": self.request_obs.quantile_snapshot(),
-            }
+        return self._runtime.checkpoint()
 
     def fleet_snapshot(self) -> Dict[str, object]:
-        """``/v1/fleet``: the authoritative report plus the online view.
-
-        The ``report`` key is :func:`~repro.stream.estimators
-        .fleet_report` over the coalescer's batch-ordered error list —
-        after a drain it is byte-identical to the batch pipeline's
-        figures, because it *is* the batch computation.
-
-        The snapshot is memoized on ``(lines read, watermark,
-        drained)``: ingest state only changes when lines arrive, so
-        between polls a thousand concurrent pollers share one computed
-        report instead of re-deriving it per request.
-        """
-        with self._lock:
-            cache_key = (
-                self.ingest.lines_read,
-                self.ingest.watermark,
-                self.ingest.drained,
-            )
-            if (
-                self._fleet_cache is not None
-                and self._fleet_cache[0] == cache_key
-            ):
-                return self._fleet_cache[1]
-            errors = self.ingest.coalescer.errors()
-            downtime = self.ingest.downtime_records()
-            watermark = self.ingest.watermark
-            window = self._window
-            if window is None:
-                window = infer_stream_window(
-                    watermark if watermark != _NEG_INF else 0.0
-                )
-            report = fleet_report(
-                errors, downtime, window, node_count=self._node_count
-            )
-            health = self.ingest.health()
-            snapshot = {
-                "report": report,
-                "estimators": self.estimators.snapshot(),
-                "stream": {
-                    "watermark": None if watermark == _NEG_INF else watermark,
-                    "drained": self.ingest.drained,
-                    "lines_read": self.ingest.lines_read,
-                    "raw_hits": self.ingest.raw_hits,
-                    "open_groups": self.ingest.coalescer.open_groups,
-                    "completeness": health.completeness,
-                },
-            }
-            self._fleet_cache = (cache_key, snapshot)
-            return snapshot
-
-    def alerts_snapshot(self) -> Dict[str, object]:
-        """``/v1/alerts``: rule definitions and fired-alert history."""
-        with self._lock:
-            return self.alerts.snapshot()
-
-    def slo_snapshot(self) -> Dict[str, object]:
-        """``/v1/slo``: objectives, burn rates, verdicts, alerts.
-
-        Evaluation state (latches, gauges) moves only on the poll
-        loop's :meth:`~repro.obs.slo.SLOEngine.evaluate`; the snapshot
-        itself is a read under the engine's own lock, augmented with
-        the live per-route latency digests.
-        """
-        snapshot = self.slo.snapshot()
-        snapshot["request_latency"] = self.request_obs.quantile_snapshot()
-        return snapshot
+        """``/v1/fleet``: the authoritative report plus the online view."""
+        return self._runtime.fleet_snapshot()
 
     def health_report(self) -> PipelineHealthReport:
         """The live data-quality report (CLI summary on exit)."""
-        with self._lock:
-            return self.ingest.health()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def stop(self) -> None:
-        """Request a graceful shutdown (signal-handler safe)."""
-        self._stop.set()
-
-    def _install_signals(self) -> Dict[int, object]:
-        previous = {}
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            previous[signum] = signal.signal(
-                signum, lambda *_args: self.stop()
-            )
-        return previous
-
-    def _flush_outputs(self) -> None:
-        """Final drain-side artifacts: checkpoint and fleet snapshot."""
-        self.checkpoint()
-        if self._fleet_out is not None:
-            atomic_write_json(
-                self._fleet_out, self.fleet_snapshot(), indent=2,
-                sort_keys=True,
-            )
-
-    def run(self, install_signals: bool = True) -> int:
-        """Follow until stopped (or drained in ``--once`` mode).
-
-        Returns ``0`` — graceful shutdown via SIGTERM/SIGINT is the
-        *expected* exit path for a daemon, not an error.  Startup and
-        runtime failures raise and map to exit codes in the CLI.
-        """
-        previous = self._install_signals() if install_signals else {}
-        if self.server is not None:
-            self.server.start()
-        try:
-            last_checkpoint = time.monotonic()
-            last_progress = time.monotonic()
-            while not self._stop.is_set():
-                lines = self.poll_once()
-                now = time.monotonic()
-                if lines:
-                    last_progress = now
-                if self._once and lines == 0:
-                    break
-                if (
-                    self._idle_exit is not None
-                    and now - last_progress >= self._idle_exit
-                ):
-                    break
-                if (
-                    self._checkpoint_dir is not None
-                    and now - last_checkpoint >= self._checkpoint_interval
-                ):
-                    self.checkpoint()
-                    last_checkpoint = time.monotonic()
-                if self._once:
-                    continue
-                self._stop.wait(self._poll_interval)
-            drained_exit = self._once or (
-                self._idle_exit is not None and not self._stop.is_set()
-            )
-            if drained_exit and not self._stop.is_set():
-                self.poll_once(final=True)
-            self._flush_outputs()
-        finally:
-            if self.server is not None:
-                self.server.stop(drain_deadline=self._drain_deadline)
-            for signum, handler in previous.items():
-                signal.signal(signum, handler)
-        return 0
+        return self._runtime.health_report()

@@ -1,20 +1,26 @@
-"""Multi-tenant fleet-health service: shared-nothing cores, shared front end.
+"""The fleet-health service: shared-nothing tenant cores, one front end.
 
-One :class:`MultiTenantService` hosts several isolated fleets — think
-one ingest per cluster, or per customer of a monitoring service.  Each
-tenant owns a **core**: its own
+:class:`MultiTenantService` is the only live service.  It hosts one or
+more isolated fleets — think one ingest per cluster, or per customer
+of a monitoring service.  ``repro stream --follow DIR`` runs it with a
+single tenant mounted at the unprefixed ``/v1/fleet``, ``/v1/alerts``
+and ``/v1/slo`` (``single=True``; :class:`~repro.stream.service
+.StreamService` is that construction); ``--tenant NAME=DIR`` mounts
+each tenant at ``/v1/<tenant>/fleet|alerts|slo``.
+
+Each tenant owns a **core**: its own
 :class:`~repro.stream.ingest.StreamIngest` (follower + parser +
 coalescer), :class:`~repro.stream.estimators.FleetEstimators`,
 :class:`~repro.stream.alerts.AlertEngine`, state lock, and fleet-report
 cache.  Nothing ingest-side is shared between tenants, so one tenant's
 corrupt checkpoint, wedged poll, or log flood cannot corrupt another's
 figures.  What *is* shared is the front end: one
-:class:`~repro.stream.serve.FleetHealthServer` routing
-``/v1/<tenant>/fleet|alerts|slo``, one metrics registry (tenant-labeled
-families), and one :class:`~repro.obs.slo.SLOEngine` holding every
-tenant's objectives under ``<tenant>:``-prefixed names.
+:class:`~repro.stream.serve.FleetHealthServer`, one metrics registry
+(tenant-labeled families), and one :class:`~repro.obs.slo.SLOEngine`
+holding every tenant's objectives (``<tenant>:``-prefixed names when
+there are several).
 
-Resilience is layered on top rather than woven in:
+Resilience is layered on top rather than woven in, in every mode:
 
 * ingest loops run under an :class:`~repro.stream.guard
   .IngestSupervisor` — heartbeat watchdog, checkpoint-based restart
@@ -30,9 +36,11 @@ Resilience is layered on top rather than woven in:
   garbage nobody reads.
 
 Snapshot identity survives all of this because a rebuilt core replays
-exactly the batch-compatible resume path the single-tenant service
-uses: after a heal and a drain, ``/v1/<tenant>/fleet`` is still
-byte-identical to the batch pipeline over the same corpus.
+the batch-compatible resume path: after a heal and a drain, a tenant's
+``/v1/fleet`` body is still byte-identical to the batch pipeline over
+the same corpus.  Checkpoints are written atomically between polls, so
+a killed service resumes from its offsets without dropping or
+double-counting a line.
 """
 
 from __future__ import annotations
@@ -44,14 +52,17 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..cluster.inventory import Inventory
 from ..core.atomicio import atomic_write_json
 from ..core.exceptions import ConfigurationError
+from ..core.periods import StudyWindow
 from ..obs import MetricsRegistry, Telemetry
 from ..obs.metrics import LATENCY_BUCKETS
-from ..obs.slo import SLOEngine, tenant_slos
+from ..obs.slo import SLOEngine, default_slos
 from ..pipeline.coalesce import DEFAULT_WINDOW_SECONDS, WindowMode
+from ..pipeline.health import PipelineHealthReport
 from ..pipeline.metrics import PipelineMetricSet
 from .alerts import AlertEngine, AlertRule, append_alert_log
 from .estimators import (
@@ -63,7 +74,6 @@ from .estimators import (
 from .guard import GuardConfig, IngestSupervisor
 from .ingest import CHECKPOINT_FILE, StreamIngest
 from .serve import FleetHealthServer, RequestObservability, json_route
-from .service import _find_inventory, resolve_syslog_dir
 
 _NEG_INF = float("-inf")
 
@@ -76,13 +86,40 @@ _TENANT_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 #: HTTP front end.
 SNAPSHOT_LOCK_TIMEOUT = 0.5
 
+#: Tenant name (metric label, chaos target) of the lone fleet a
+#: ``single=True`` service serves.
+SINGLE_TENANT = "default"
+
 __all__ = [
+    "SINGLE_TENANT",
     "SNAPSHOT_LOCK_TIMEOUT",
     "TenantSpec",
     "TenantRuntime",
     "MultiTenantService",
     "parse_tenant_arg",
+    "resolve_syslog_dir",
 ]
+
+
+def resolve_syslog_dir(follow_dir: Path) -> Path:
+    """Accept either an artifact directory or its ``syslog/`` child."""
+    follow_dir = Path(follow_dir)
+    if (follow_dir / "syslog").is_dir():
+        return follow_dir / "syslog"
+    if follow_dir.is_dir():
+        return follow_dir
+    raise ConfigurationError(f"{follow_dir}: not a directory")
+
+
+def _find_inventory(syslog_dir: Path) -> Optional[Inventory]:
+    """Load ``inventory.json`` next to or above the syslog directory."""
+    for candidate in (
+        syslog_dir / "inventory.json",
+        syslog_dir.parent / "inventory.json",
+    ):
+        if candidate.exists():
+            return Inventory.load(candidate)
+    return None
 
 
 def parse_tenant_arg(value: str) -> Tuple[str, Path]:
@@ -144,6 +181,7 @@ class _TenantCore:
         "alerts",
         "lock",
         "fleet_cache",
+        "health_cache",
         "armed_fault",
         "generation",
     )
@@ -160,10 +198,45 @@ class _TenantCore:
         self.alerts = alerts
         self.lock = threading.Lock()
         self.fleet_cache: Optional[tuple] = None
+        #: the last ``/healthz`` counters read under the lock.
+        self.health_cache: Dict[str, object] = {}
         #: chaos hook — an exception armed here is raised by the next
-        #: poll, on the worker thread, through the real failure path.
+        #: worker poll, through the real failure path.
         self.armed_fault: Optional[BaseException] = None
         self.generation = generation
+
+    def feed(self, errors) -> List:
+        """Fold completed errors into estimators and rules.
+
+        Returns the alerts the rules fired at the current watermark.
+        Estimator/alert state is derivable, so a resumed core rebuilds
+        it by feeding the coalescer's completed errors through here —
+        the ingest state stays the only durable truth.
+        """
+        for error in errors:
+            self.estimators.observe_error(error)
+            self.alerts.observe_error(error)
+        watermark = self.ingest.watermark
+        if watermark == _NEG_INF:
+            return []
+        self.estimators.advance(watermark)
+        return self.alerts.evaluate(watermark)
+
+    def health_counters(self) -> Dict[str, object]:
+        """The ingest progress block of ``/healthz`` (lock held)."""
+        ingest = self.ingest
+        watermark = ingest.watermark
+        return {
+            "drained": ingest.drained,
+            "watermark": None if watermark == _NEG_INF else watermark,
+            "lines_read": ingest.lines_read,
+            "raw_hits": ingest.raw_hits,
+            "errors_total": self.estimators.total_errors,
+            "open_groups": ingest.coalescer.open_groups,
+            "open_outages": ingest.open_outages,
+            "days_followed": len(ingest.follower.day_stems()),
+            "alerts_active": self.alerts.active_count(),
+        }
 
 
 class TenantRuntime:
@@ -172,10 +245,27 @@ class TenantRuntime:
     The runtime is the stable object the server routes point at; the
     mutable ingest state lives in a swappable :class:`_TenantCore`.
     Route handlers acquire the *current* core's lock with a timeout —
-    on timeout (core wedged) or while the tenant is marked down, they
-    serve the cached last-good body with an
-    ``X-Fleet-Staleness-Seconds`` header instead of blocking or
+    on timeout (core wedged, or a long catch-up poll) or while the
+    tenant is marked down, they serve the cached last-good body with
+    an ``X-Fleet-Staleness-Seconds`` header instead of blocking or
     erroring.
+
+    Args:
+        spec: the tenant's static configuration.
+        registry: the shared metrics registry.
+        slo: the shared SLO engine (``None`` = no freshness feed).
+        checkpoint_dir: where this tenant checkpoints (``None`` = off).
+        resume: restore from ``checkpoint_dir`` when a checkpoint exists.
+        poll_interval: worker cadence, seconds (part of the freshness
+            lag each poll reports).
+        rules: alert rules (default :func:`~repro.stream.alerts
+            .default_rules`).
+        window: fixed study window for the fleet report; by default it
+            is re-inferred from the watermark each snapshot
+            (:func:`~repro.stream.estimators.infer_stream_window`).
+        logger: optional structured logger.
+        slo_prefix: prefix of this tenant's objective names (default
+            ``"<name>:"``; empty for a lone fleet).
     """
 
     def __init__(
@@ -187,8 +277,9 @@ class TenantRuntime:
         resume: bool = False,
         poll_interval: float = 1.0,
         rules: Optional[Sequence[AlertRule]] = None,
-        window=None,
+        window: Optional[StudyWindow] = None,
         logger=None,
+        slo_prefix: Optional[str] = None,
     ) -> None:
         self.spec = spec
         self.name = spec.name
@@ -202,48 +293,62 @@ class TenantRuntime:
         self._window = window
         self._slo = slo
         self._logger = logger if logger is not None and logger.enabled else None
-        self._freshness_name = f"{spec.name}:ingest-freshness"
+        prefix = f"{spec.name}:" if slo_prefix is None else slo_prefix
+        self._freshness_name = f"{prefix}ingest-freshness"
 
         self.metric_set = PipelineMetricSet(registry)
         label = {"tenant": spec.name}
-        self._polls = registry.counter(
-            "tenant_polls_total", "ingest polls completed, by tenant",
-            labels=("tenant",),
-        ).labels(**label)
-        self._watermark_gauge = registry.gauge(
-            "tenant_watermark_seconds",
-            "largest log timestamp ingested, by tenant",
-            labels=("tenant",),
-        ).labels(**label)
-        self._degraded_gauge = registry.gauge(
-            "tenant_degraded",
+
+        def family(kind, name, help_text, domain="sim", **kwargs):
+            return getattr(registry, kind)(
+                name, help_text, labels=("tenant",), domain=domain, **kwargs
+            ).labels(**label)
+
+        self._polls = family(
+            "counter", "stream_polls_total", "ingest polls completed"
+        )
+        self._watermark_gauge = family(
+            "gauge", "stream_watermark_seconds",
+            "largest log timestamp ingested",
+        )
+        self._open_groups_gauge = family(
+            "gauge", "stream_open_coalesce_groups",
+            "coalescing groups awaiting closure",
+        )
+        self._open_outages_gauge = family(
+            "gauge", "stream_open_outages", "nodes currently out of service"
+        )
+        self._poll_duration = family(
+            "histogram", "stream_poll_duration_seconds",
+            "wall time spent per ingest poll",
+            domain="host", buckets=LATENCY_BUCKETS,
+        )
+        self._visibility_lag_gauge = family(
+            "gauge", "stream_visibility_lag_seconds",
+            "append-to-visible upper bound: last poll duration + interval",
+            domain="host",
+        )
+        self._degraded_gauge = family(
+            "gauge", "tenant_degraded",
             "1 while the tenant serves stale snapshots",
-            labels=("tenant",),
-        ).labels(**label)
-        self._staleness_gauge = registry.gauge(
-            "tenant_staleness_seconds",
-            "age of the last good snapshot, by tenant",
-            labels=("tenant",),
-            domain="host",
-        ).labels(**label)
-        self._quarantine_counter = registry.counter(
-            "tenant_checkpoint_quarantined_total",
-            "damaged checkpoints moved aside, by tenant",
-            labels=("tenant",),
-        ).labels(**label)
-        self._poll_duration = registry.histogram(
-            "tenant_poll_duration_seconds",
-            "wall time spent per ingest poll, by tenant",
-            labels=("tenant",),
-            domain="host",
-            buckets=LATENCY_BUCKETS,
-        ).labels(**label)
-        self._stale_serves = registry.counter(
-            "tenant_stale_snapshots_served_total",
-            "requests answered from the last-good cache, by tenant",
-            labels=("tenant",),
-            domain="host",
-        ).labels(**label)
+        )
+        self._staleness_gauge = family(
+            "gauge", "tenant_staleness_seconds",
+            "age of the last good snapshot", domain="host",
+        )
+        self._quarantine_counter = family(
+            "counter", "tenant_checkpoint_quarantined_total",
+            "damaged checkpoints moved aside",
+        )
+        self._stale_serves = family(
+            "counter", "tenant_stale_snapshots_served_total",
+            "requests answered from the last-good cache", domain="host",
+        )
+        self._alerts_fired = registry.counter(
+            "stream_alerts_fired_total",
+            "alerts fired by the rule engine",
+            labels=("tenant", "severity"),
+        )
 
         self.degraded = False
         self.down_reason: Optional[str] = None
@@ -265,6 +370,9 @@ class TenantRuntime:
         """Build a fresh generation from the checkpoint (or scratch)."""
         ingest: Optional[StreamIngest] = None
         if resume and self._checkpoint_dir is not None:
+            # A damaged checkpoint is quarantined aside (logged and
+            # counted) and ingest restarts from scratch; the
+            # wrong-directory/version refusals still raise.
             ingest, quarantined = StreamIngest.resume_or_quarantine(
                 self._syslog_dir,
                 self._checkpoint_dir,
@@ -291,18 +399,16 @@ class TenantRuntime:
                 mode=self.spec.mode,
                 inventory=self._inventory,
             )
-        estimators = FleetEstimators(node_count=self.spec.node_count)
-        alerts = AlertEngine(self._rules)
-        # Estimator/alert state is derivable: replay the completed
-        # errors out of the resumed coalescer, exactly as the
-        # single-tenant service does.
-        for error in ingest.coalescer.errors():
-            estimators.observe_error(error)
-            alerts.observe_error(error)
-        if ingest.watermark != _NEG_INF:
-            estimators.advance(ingest.watermark)
-            alerts.evaluate(ingest.watermark)
-        return _TenantCore(ingest, estimators, alerts, generation)
+        core = _TenantCore(
+            ingest,
+            FleetEstimators(node_count=self.spec.node_count),
+            AlertEngine(self._rules),
+            generation,
+        )
+        # Replayed alerts re-enter history but are not re-logged.
+        core.feed(ingest.coalescer.errors())
+        core.health_cache = core.health_counters()
+        return core
 
     def rebuild(self) -> None:
         """Swap in a fresh core from the last checkpoint.
@@ -330,40 +436,62 @@ class TenantRuntime:
     def poll_once(self, final: bool = False) -> int:
         """One locked poll on the current core; returns lines ingested.
 
-        An armed chaos fault fires here, on the worker thread, so the
-        injected failure exercises the genuine worker-death →
-        supervisor-restart path rather than a simulation of it.
+        ``final`` drains the coalescer and closes the stream.  An
+        armed chaos fault fires on the next non-final poll — on the
+        worker thread, so the injected failure exercises the genuine
+        worker-death → supervisor-restart path rather than a
+        simulation of it.
+
+        Besides ingesting, the poll is the tenant's freshness
+        heartbeat: ``duration + poll interval`` — the worst-case
+        append-to-visible lag for a line landing just after the poll
+        started — feeds the freshness SLO, which is then re-evaluated.
+        The very first poll is exempt from the feed: it replays the
+        backlog already on disk, which is catch-up, not staleness.
         """
         core = self.core
-        if core.armed_fault is not None:
+        if not final and core.armed_fault is not None:
             fault, core.armed_fault = core.armed_fault, None
             raise fault
         start = time.perf_counter()
         with core.lock:
-            outcome = core.ingest.drain() if final else core.ingest.poll()
-            for error in outcome.completed:
-                core.estimators.observe_error(error)
-                core.alerts.observe_error(error)
-            fired = []
-            if core.ingest.watermark != _NEG_INF:
-                core.estimators.advance(core.ingest.watermark)
-                fired = core.alerts.evaluate(core.ingest.watermark)
-            self.metric_set.publish_totals(core.ingest.totals())
+            ingest = core.ingest
+            outcome = ingest.drain() if final else ingest.poll()
+            fired = core.feed(outcome.completed)
+            self.metric_set.publish_totals(ingest.totals())
             self._polls.inc()
-            if core.ingest.watermark != _NEG_INF:
-                self._watermark_gauge.set(core.ingest.watermark)
+            if ingest.watermark != _NEG_INF:
+                self._watermark_gauge.set(ingest.watermark)
+            self._open_groups_gauge.set(ingest.coalescer.open_groups)
+            self._open_outages_gauge.set(ingest.open_outages)
+        for alert in fired:
+            self._alerts_fired.labels(
+                tenant=self.name, severity=alert.severity
+            ).inc()
         duration = time.perf_counter() - start
         self._poll_duration.observe(duration)
         self._last_poll_end = time.monotonic()
         self._staleness_gauge.set(0.0)
-        if self._slo is not None and self._seen_first_poll:
-            self._slo.record_freshness(
-                duration + self._poll_interval, name=self._freshness_name
-            )
+        if self._slo is not None:
+            if self._seen_first_poll:
+                lag = duration + self._poll_interval
+                self._visibility_lag_gauge.set(lag)
+                self._slo.record_freshness(lag, name=self._freshness_name)
+            self._slo.evaluate()
         self._seen_first_poll = True
-        if self.spec.alerts_out is not None and fired:
+        if self.spec.alerts_out is not None:
             append_alert_log(self.spec.alerts_out, fired)
         return outcome.lines
+
+    @property
+    def progress(self) -> int:
+        """Lines the current core has read — advances *during* a poll.
+
+        The supervisor counts a move here as a heartbeat, so a long
+        catch-up poll that keeps ingesting is never mistaken for a
+        wedged one.
+        """
+        return self.core.ingest.lines_read
 
     def checkpoint(self) -> Optional[Path]:
         """Persist the current core's resume state (between polls)."""
@@ -427,7 +555,7 @@ class TenantRuntime:
         self._staleness_gauge.set(self.staleness_seconds())
 
     # ------------------------------------------------------------------
-    # HTTP handlers
+    # Snapshots and HTTP handlers
     # ------------------------------------------------------------------
 
     def _serve_cached(self, route: str):
@@ -477,6 +605,15 @@ class TenantRuntime:
         return ("application/json", body)
 
     def _compute_fleet(self, core: _TenantCore) -> Dict[str, object]:
+        """The fleet document; memoized on ``(lines, watermark, drained)``.
+
+        The ``report`` key is :func:`~repro.stream.estimators
+        .fleet_report` over the coalescer's batch-ordered error list —
+        after a drain it is byte-identical to the batch pipeline's
+        figures, because it *is* the batch computation.  Ingest state
+        only changes when lines arrive, so between polls every poller
+        shares one computed report.
+        """
         cache_key = (
             core.ingest.lines_read,
             core.ingest.watermark,
@@ -512,20 +649,41 @@ class TenantRuntime:
         core.fleet_cache = (cache_key, snapshot)
         return snapshot
 
+    def fleet_snapshot(self) -> Dict[str, object]:
+        """The fleet document, waiting for the core lock."""
+        core = self.core
+        with core.lock:
+            return self._compute_fleet(core)
+
+    def health_report(self) -> PipelineHealthReport:
+        """The live data-quality report (CLI summary on exit)."""
+        core = self.core
+        with core.lock:
+            return core.ingest.health()
+
     def fleet_route(self):
-        """``/v1/<tenant>/fleet``."""
+        """The tenant's ``/v1/fleet``."""
         return self._snapshot_route("fleet", self._compute_fleet)
 
     def alerts_route(self):
-        """``/v1/<tenant>/alerts``."""
+        """The tenant's ``/v1/alerts``: rules and fired-alert history."""
         return self._snapshot_route(
             "alerts", lambda core: core.alerts.snapshot()
         )
 
     def health_entry(self, guard: Optional[Dict[str, object]]) -> Dict[str, object]:
-        """This tenant's block of the shared ``/healthz`` document."""
+        """This tenant's block of the shared ``/healthz`` document.
+
+        The ingest counters are read under the core lock, waiting at
+        most :data:`SNAPSHOT_LOCK_TIMEOUT`; a wedged or catching-up
+        core answers with the counters of the last successful read.
+        """
         core = self.core
-        watermark = core.ingest.watermark
+        if core.lock.acquire(timeout=SNAPSHOT_LOCK_TIMEOUT):
+            try:
+                core.health_cache = core.health_counters()
+            finally:
+                core.lock.release()
         entry: Dict[str, object] = {
             "degraded": self.degraded,
             "down_reason": self.down_reason,
@@ -533,12 +691,9 @@ class TenantRuntime:
             "last_failure": self.last_failure,
             "staleness_seconds": round(self.staleness_seconds(), 3),
             "generation": core.generation,
-            "watermark": None if watermark == _NEG_INF else watermark,
-            "lines_read": core.ingest.lines_read,
-            "drained": core.ingest.drained,
-            "alerts_active": core.alerts.active_count(),
             "checkpoints_quarantined": list(self.quarantined_checkpoints),
         }
+        entry.update(core.health_cache)
         if guard is not None:
             entry["guard"] = guard
         return entry
@@ -547,16 +702,14 @@ class TenantRuntime:
         """Final checkpoint + fleet snapshot (shutdown/drain path)."""
         self.checkpoint()
         if self.spec.fleet_out is not None:
-            core = self.core
-            with core.lock:
-                snapshot = self._compute_fleet(core)
             atomic_write_json(
-                self.spec.fleet_out, snapshot, indent=2, sort_keys=True
+                self.spec.fleet_out, self.fleet_snapshot(), indent=2,
+                sort_keys=True,
             )
 
 
 class MultiTenantService:
-    """N isolated tenants behind one supervised HTTP front end.
+    """Isolated tenants behind one supervised HTTP front end.
 
     Args:
         tenants: the tenant specs (names must be unique).
@@ -571,15 +724,32 @@ class MultiTenantService:
             no chaos), flush outputs, return.
         poll_interval / checkpoint_interval: worker cadence.
         guard: supervision policy (default :class:`GuardConfig`).
-        idle_exit: follow mode — stop after this many consecutive
-            seconds in which *no* tenant ingested a line.
+        idle_exit: follow mode — drain every tenant and exit after
+            this many consecutive seconds in which *no* tenant
+            ingested a line.
         chaos: optional chaos controller (duck-typed ``attach(service)``
             / ``start()`` / ``stop()`` / ``snapshot()``), kept abstract
             here so the tenancy layer has no dependency on the harness.
-        telemetry: optional shared telemetry bundle.
-        request_obs / max_inflight / request_timeout / drain_deadline:
-            forwarded to the HTTP layer exactly as in
-            :class:`~repro.stream.service.StreamService`.
+        rules: alert rules for every tenant.
+        window: fixed study window for every tenant's fleet report
+            (default: inferred from each watermark).
+        telemetry: optional shared telemetry bundle; when absent or
+            disabled the service still runs a private live metrics
+            registry so ``/metrics`` always works.
+        request_obs: master switch for the per-request telemetry and
+            the SLO feed; when False the HTTP layer runs on the shared
+            NOOP instruments (the overhead path benchmark E16
+            measures).
+        max_inflight: shed requests beyond this concurrency with 429 +
+            ``Retry-After`` (``None`` = unbounded).
+        request_timeout: per-connection socket deadline in seconds —
+            the slow-loris defense (``None`` = no deadline).
+        drain_deadline: seconds :meth:`run` waits for in-flight
+            responses to finish writing at shutdown.
+        single: serve exactly one tenant as the plain fleet service —
+            routes ``/v1/fleet|alerts|slo``, unprefixed objective
+            names, a flat ``/healthz``, and the checkpoint directly in
+            ``checkpoint_root``.
     """
 
     def __init__(
@@ -595,14 +765,20 @@ class MultiTenantService:
         idle_exit: Optional[float] = None,
         chaos=None,
         rules: Optional[Sequence[AlertRule]] = None,
+        window: Optional[StudyWindow] = None,
         telemetry: Optional[Telemetry] = None,
         request_obs: bool = True,
         max_inflight: Optional[int] = None,
         request_timeout: Optional[float] = None,
         drain_deadline: float = 5.0,
+        single: bool = False,
     ) -> None:
         if not tenants:
             raise ConfigurationError("at least one tenant is required")
+        if single and len(tenants) != 1:
+            raise ConfigurationError(
+                f"single=True serves one tenant, got {len(tenants)}"
+            )
         names = [spec.name for spec in tenants]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate tenant names in {names}")
@@ -611,8 +787,8 @@ class MultiTenantService:
                 f"poll interval must be positive, got {poll_interval}"
             )
         self._once = once
+        self._single = single
         self._poll_interval = poll_interval
-        self._checkpoint_interval = checkpoint_interval
         self._idle_exit = idle_exit
         self._drain_deadline = drain_deadline
         self.guard_config = guard if guard is not None else GuardConfig()
@@ -628,13 +804,11 @@ class MultiTenantService:
         obs_registry = registry if request_obs else None
         objectives = []
         for spec in tenants:
+            base = self._route_base(spec.name)
             objectives.extend(
-                tenant_slos(
-                    spec.name,
-                    routes=(
-                        f"/v1/{spec.name}/fleet",
-                        f"/v1/{spec.name}/alerts",
-                    ),
+                default_slos(
+                    routes=(f"{base}/fleet", f"{base}/alerts"),
+                    prefix=self._slo_prefix(spec.name),
                 )
             )
         self.slo = SLOEngine(
@@ -652,11 +826,9 @@ class MultiTenantService:
         )
         self.runtimes: List[TenantRuntime] = []
         for spec in tenants:
-            tenant_ckpt = (
-                checkpoint_root / spec.name
-                if checkpoint_root is not None
-                else None
-            )
+            tenant_ckpt = checkpoint_root
+            if checkpoint_root is not None and not single:
+                tenant_ckpt = checkpoint_root / spec.name
             self.runtimes.append(
                 TenantRuntime(
                     spec,
@@ -666,7 +838,9 @@ class MultiTenantService:
                     resume=resume,
                     poll_interval=poll_interval,
                     rules=rules,
+                    window=window,
                     logger=logger,
+                    slo_prefix=self._slo_prefix(spec.name),
                 )
             )
         self._by_name = {rt.name: rt for rt in self.runtimes}
@@ -690,11 +864,13 @@ class MultiTenantService:
             "/v1/slo": json_route(self.slo_snapshot),
         }
         for rt in self.runtimes:
-            routes[f"/v1/{rt.name}/fleet"] = rt.fleet_route
-            routes[f"/v1/{rt.name}/alerts"] = rt.alerts_route
-            routes[f"/v1/{rt.name}/slo"] = json_route(
-                self._tenant_slo_snapshot(rt.name)
-            )
+            base = self._route_base(rt.name)
+            routes[f"{base}/fleet"] = rt.fleet_route
+            routes[f"{base}/alerts"] = rt.alerts_route
+            if not single:
+                routes[f"{base}/slo"] = json_route(
+                    self._tenant_slo_snapshot(rt.name)
+                )
         self.server: Optional[FleetHealthServer] = None
         if port is not None:
             self.server = FleetHealthServer(
@@ -704,6 +880,12 @@ class MultiTenantService:
                 max_inflight=max_inflight,
                 request_timeout=request_timeout,
             )
+
+    def _route_base(self, name: str) -> str:
+        return "/v1" if self._single else f"/v1/{name}"
+
+    def _slo_prefix(self, name: str) -> str:
+        return "" if self._single else f"{name}:"
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -723,16 +905,24 @@ class MultiTenantService:
         return snapshot
 
     def slo_snapshot(self) -> Dict[str, object]:
-        """``/v1/slo``: every tenant's objectives in one document."""
+        """``/v1/slo``: every objective, burn rate, verdict and alert.
+
+        Evaluation state (latches, gauges) moves only on the run
+        loop's :meth:`~repro.obs.slo.SLOEngine.evaluate`; the snapshot
+        itself is a read under the engine's own lock, augmented with
+        the live per-route latency digests.
+        """
         snapshot = self.slo.snapshot()
         snapshot["request_latency"] = self.request_obs.quantile_snapshot()
         return snapshot
 
     def health_snapshot(self) -> Dict[str, object]:
-        """``/healthz``: global liveness plus one block per tenant.
+        """``/healthz``: global liveness plus each tenant's block.
 
         ``degraded`` at the top is the any-tenant rollup: the CI smoke
-        gate polls it to decide the service has healed.
+        gate polls it to decide the service has healed.  With
+        ``single=True`` the lone tenant's block is inlined at the top
+        level instead of nested under ``tenants``.
         """
         guard_state = self.supervisor.snapshot()
         tenant_blocks = {
@@ -743,10 +933,13 @@ class MultiTenantService:
         doc: Dict[str, object] = {
             "status": "degraded" if degraded else "ok",
             "degraded": degraded,
-            "tenants": tenant_blocks,
-            "slo_alerting": self.slo.active_count(),
-            "request_latency": self.request_obs.quantile_snapshot(),
         }
+        if self._single:
+            doc.update(tenant_blocks[self.runtimes[0].name])
+        else:
+            doc["tenants"] = tenant_blocks
+        doc["slo_alerting"] = self.slo.active_count()
+        doc["request_latency"] = self.request_obs.quantile_snapshot()
         if self.chaos is not None:
             doc["chaos"] = self.chaos.snapshot()
         return doc
@@ -770,37 +963,34 @@ class MultiTenantService:
     def _drain_all(self) -> None:
         """Once mode: serially drain every tenant, no supervision."""
         for rt in self.runtimes:
-            while True:
-                if rt.poll_once() == 0:
-                    break
+            while rt.poll_once() != 0:
+                pass
             rt.poll_once(final=True)
-            if self._request_obs_enabled:
-                self.slo.evaluate()
             rt.flush_outputs()
 
     def _follow(self) -> None:
-        """Follow mode: supervised workers until stopped or idle."""
+        """Follow mode: supervised workers until stopped or idle.
+
+        An idle exit drains every tenant before flushing; a stop
+        request (SIGTERM) only flushes, so the final checkpoint keeps
+        the open coalescing groups a resumed run will close.
+        """
         self.supervisor.start()
         if self.chaos is not None:
             self.chaos.start()
         try:
-            last_lines = {
-                rt.name: rt.core.ingest.lines_read for rt in self.runtimes
-            }
+            last_lines = {rt.name: rt.progress for rt in self.runtimes}
             last_progress = time.monotonic()
             while not self._stop.is_set():
                 self._stop.wait(self._poll_interval)
                 if self._request_obs_enabled:
                     self.slo.evaluate()
-                progressed = False
+                now = time.monotonic()
                 for rt in self.runtimes:
-                    lines = rt.core.ingest.lines_read
+                    lines = rt.progress
                     if lines != last_lines[rt.name]:
                         last_lines[rt.name] = lines
-                        progressed = True
-                now = time.monotonic()
-                if progressed:
-                    last_progress = now
+                        last_progress = now
                 if (
                     self._idle_exit is not None
                     and now - last_progress >= self._idle_exit
@@ -811,6 +1001,8 @@ class MultiTenantService:
                 self.chaos.stop()
             self.supervisor.stop()
         for rt in self.runtimes:
+            if not self._stop.is_set():
+                rt.poll_once(final=True)
             rt.flush_outputs()
 
     def run(self, install_signals: bool = True) -> int:
@@ -819,6 +1011,8 @@ class MultiTenantService:
         Returns ``0`` — graceful SIGTERM/SIGINT shutdown is the
         expected daemon exit, and in-flight responses get
         ``drain_deadline`` seconds to finish before the socket closes.
+        Startup and runtime failures raise and map to exit codes in
+        the CLI.
         """
         previous = self._install_signals() if install_signals else {}
         if self.server is not None:

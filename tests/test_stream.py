@@ -674,6 +674,27 @@ class TestStreamCli:
         assert fleet["stream"]["drained"] is True
         assert fleet["report"]["errors_total"] > 0
 
+    @pytest.mark.parametrize("mode", ["follow", "tenant"])
+    def test_idle_exit_drains_in_every_mode(
+        self, stream_artifacts, tmp_path, capsys, mode
+    ):
+        if mode == "follow":
+            source = ["--follow", str(stream_artifacts)]
+            fleet_out = tmp_path / "fleet.json"
+            written = fleet_out
+        else:
+            source = ["--tenant", f"x={stream_artifacts}"]
+            fleet_out = tmp_path / "fleet"
+            written = fleet_out / "x.json"
+        code = main(
+            ["stream", *source, "--idle-exit", "0.5", "--port", "-1",
+             "--poll-interval", "0.05", "--fleet-out", str(fleet_out)]
+        )
+        assert code == 0
+        fleet = json.loads(written.read_text())
+        assert fleet["stream"]["drained"] is True
+        assert fleet["stream"]["open_groups"] == 0
+
     def test_missing_directory_is_config_error(self, tmp_path, capsys):
         code = main(
             ["stream", "--follow", str(tmp_path / "nope"), "--once"]

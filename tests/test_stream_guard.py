@@ -83,6 +83,26 @@ class FakeRuntime:
         self.heartbeat_ticks += 1
 
 
+class CatchUpRuntime(FakeRuntime):
+    """First poll outlasts any stall timeout but keeps reading lines."""
+
+    def __init__(self, name, first_poll_seconds):
+        super().__init__(name)
+        self.progress = 0
+        self.first_poll_seconds = first_poll_seconds
+        self.first_poll_done = threading.Event()
+
+    def poll_once(self, final=False):
+        if self.first_poll_done.is_set():
+            return 0
+        deadline = time.monotonic() + self.first_poll_seconds
+        while time.monotonic() < deadline:
+            self.progress += 1
+            time.sleep(0.01)
+        self.first_poll_done.set()
+        return self.progress
+
+
 FAST = GuardConfig(
     stall_timeout=0.4,
     watchdog_interval=0.02,
@@ -286,6 +306,21 @@ class TestSupervisorHeals:
         assert runtime.mark_downs[0][0] == "stall"
         assert supervisor.restart_counts["alpha"]["stall"] == 1
         assert runtime.rebuilds == 1
+
+    def test_long_poll_making_progress_is_not_a_stall(self):
+        """A catch-up poll longer than stall_timeout keeps its worker."""
+        runtime = CatchUpRuntime(
+            "alpha", first_poll_seconds=3 * FAST.stall_timeout
+        )
+        supervisor = self._run_supervisor([runtime])
+        try:
+            assert runtime.first_poll_done.wait(timeout=10.0)
+            time.sleep(5 * FAST.watchdog_interval)
+        finally:
+            supervisor.stop()
+        assert supervisor.restart_counts["alpha"] == {}
+        assert runtime.mark_downs == []
+        assert runtime.rebuilds == 0
 
     def test_persistent_failure_trips_breaker_open(self):
         config = GuardConfig(

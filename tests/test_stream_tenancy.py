@@ -13,13 +13,18 @@ from pathlib import Path
 
 import pytest
 
+from repro import DeltaStudy, StudyConfig
+from repro.cli import main
 from repro.core.exceptions import ConfigurationError
+from repro.core.periods import StudyWindow
 from repro.stream import (
     MultiTenantService,
     TenantRuntime,
     TenantSpec,
+    fleet_report,
     parse_tenant_arg,
 )
+from repro.syslog.chaos import ChaosConfig, corrupt_artifacts
 from repro.stream.ingest import CHECKPOINT_FILE
 from repro.obs import MetricsRegistry
 
@@ -140,6 +145,35 @@ class TestRoutingAndIsolation:
             rt.checkpoint()
         for name in ("alpha", "beta"):
             assert (tmp_path / "ckpt" / name / CHECKPOINT_FILE).exists()
+
+
+class TestDeltaWindow:
+    DELTA = fleet_report([], [], StudyWindow.delta_default())["window"]
+
+    def test_tenant_route_reports_delta_window(self, corpus, tmp_path):
+        service = make_service(
+            corpus, tmp_path, port=0, window=StudyWindow.delta_default()
+        )
+        try:
+            service.runtimes[0].poll_once()
+            status, _, body, _, _ = service.server.dispatch(
+                "/v1/alpha/fleet"
+            )
+        finally:
+            service.server.stop()
+        assert status == 200
+        assert json.loads(body)["report"]["window"] == self.DELTA
+
+    def test_cli_flag_reaches_tenants(self, corpus, tmp_path, capsys):
+        out = tmp_path / "fleet"
+        argv = ["stream", "--tenant", f"a={corpus}", "--once",
+                "--port", "-1", "--fleet-out", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "a.json").read_text())[
+            "report"]["window"] != self.DELTA
+        assert main(argv + ["--delta-window"]) == 0
+        assert json.loads((out / "a.json").read_text())[
+            "report"]["window"] == self.DELTA
 
 
 class TestDegradedServing:
@@ -298,3 +332,43 @@ class TestOnceModeIdentity:
             )
         # And the batch pipeline agrees on the error stream.
         assert expected.errors == batch.errors
+
+
+@pytest.fixture(scope="module")
+def chaos_corpus(tmp_path_factory):
+    """A small chaos-corrupted artifact dir."""
+    out = tmp_path_factory.mktemp("tenancy_chaos") / "run"
+    DeltaStudy(
+        StudyConfig.small(
+            seed=5, include_episode=True, job_scale=0.005, op_days=10
+        )
+    ).run(out)
+    corrupt_artifacts(out, ChaosConfig.calibrated(seed=3).scaled(20.0))
+    return out
+
+
+class TestCliModeIdentity:
+    def test_follow_and_tenant_drains_write_identical_fleet(
+        self, chaos_corpus, tmp_path, capsys
+    ):
+        """``--follow DIR`` and ``--tenant x=DIR`` are one service."""
+        follow_out = tmp_path / "follow.json"
+        tenant_out = tmp_path / "tenants"
+        common = ["--once", "--port", "-1"]
+        assert main(
+            ["stream", "--follow", str(chaos_corpus), *common,
+             "--checkpoint", str(tmp_path / "ckpt-follow"),
+             "--fleet-out", str(follow_out)]
+        ) == 0
+        assert main(
+            ["stream", "--tenant", f"x={chaos_corpus}", *common,
+             "--checkpoint", str(tmp_path / "ckpt-tenant"),
+             "--fleet-out", str(tenant_out)]
+        ) == 0
+        follow_bytes = follow_out.read_bytes()
+        assert json.loads(follow_bytes)["stream"]["drained"] is True
+        assert json.loads(follow_bytes)["report"]["errors_total"] > 0
+        assert follow_bytes == (tenant_out / "x.json").read_bytes()
+        # Checkpoints: directly in --checkpoint vs. one per tenant.
+        assert (tmp_path / "ckpt-follow" / CHECKPOINT_FILE).exists()
+        assert (tmp_path / "ckpt-tenant" / "x" / CHECKPOINT_FILE).exists()
